@@ -167,24 +167,24 @@ class CacheArray:
             return None
 
         si = line_addr % self.num_sets
-        base = si * self.ways
+        ways = self.ways
+        base = si * ways
         tags = self.tags
         victim: EvictedLine | None = None
-        free = -1
-        for s in range(base, base + self.ways):
-            if tags[s] == -1:
-                free = s
-                break
-        if free < 0:
+        # one bulk tolist per set row: plain-int compares beat the same
+        # number of boxed numpy scalar reads
+        trow = tags[base : base + ways].tolist()
+        if -1 in trow:
+            free = base + trow.index(-1)
+        else:
             if self._policies is None:
-                stamps = self.stamps
-                free = base
-                for s in range(base + 1, base + self.ways):
-                    if stamps[s] < stamps[free]:
-                        free = s
+                # true LRU: the first stamp minimum (stamps come from one
+                # monotone clock, so the minimum is unique in a full set)
+                srow = self.stamps[base : base + ways].tolist()
+                free = base + srow.index(min(srow))
             else:
                 free = base + self._policies[si].victim()
-            vtag = int(tags[free])
+            vtag = trow[free - base]
             victim = EvictedLine(vtag, bool(self.dirty[free]), int(self.state[free]))
             del self._index[vtag * self.num_sets + si]
             self.evictions += 1

@@ -57,18 +57,21 @@ class MemorySystem:
         ]
         self.topology = topology
         self.hop_latency = hop_latency
-        # nearest controller per tile, precomputed
+        # nearest controller per tile and the hop count to it,
+        # precomputed: a fill pays no topology lookup
         self._nearest: list[DramController] = [
             min(self.controllers, key=lambda c: topology.distance(tile, c.tile))
             for tile in range(topology.num_cores)
         ]
+        self._hops: list[int] = [
+            topology.distance(tile, ctrl.tile) for tile, ctrl in enumerate(self._nearest)
+        ]
 
     def miss_latency(self, tile: int, now: float) -> float:
         """Total latency for a memory fill issued from ``tile`` at ``now``."""
-        ctrl = self._nearest[tile]
-        hops = self.topology.distance(tile, ctrl.tile)
-        done = ctrl.service(now + hops * self.hop_latency)
-        return (done + hops * self.hop_latency) - now
+        wire = self._hops[tile] * self.hop_latency
+        done = self._nearest[tile].service(now + wire)
+        return (done + wire) - now
 
     def total_requests(self) -> int:
         return sum(c.requests for c in self.controllers)

@@ -8,7 +8,7 @@ from typing import Callable
 from repro.arch.config import NocConfig
 from repro.arch.noc.packet import Message, VirtualNetwork
 from repro.arch.topology import Topology
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, Event
 from repro.sim.stats import StatSet
 
 
@@ -149,7 +149,12 @@ class Network:
             self.engine.schedule_at(dup_arrival, _deliver)
         return msg
 
-    def send_fast(self, msg: Message, on_deliver: Callable[[Message], None]) -> Message:
+    def send_fast(
+        self,
+        msg: Message,
+        on_deliver: Callable[[Message], None],
+        ev: Event,
+    ) -> Message:
         """Contention-free, injector-free :meth:`send` (same accounting).
 
         The classic path allocates one ``_deliver`` closure per message;
@@ -160,6 +165,11 @@ class Network:
         instead. Callers bind it only when ``config.contention`` is off
         and no fault injector is attached; arrival times, counters, and
         delivery statistics are bit-identical to :meth:`send`.
+
+        ``ev`` is a fired event the sender owns (the one running this
+        very send): the delivery is scheduled on it through
+        :meth:`Engine.requeue` instead of on a fresh event, with the
+        same time and sequence number as :meth:`send` would assign.
         """
         now = self.engine.now
         msg.inject_time = now
@@ -180,7 +190,10 @@ class Network:
             delivery = self._delivery_stats[msg.vnet] = self.stats.latency(
                 f"delivery.{msg.vnet.name}"
             )
-        self.engine.schedule_at(arrival, self._finish_delivery, msg, delivery, on_deliver)
+        ev.callback = self._finish_delivery
+        ev.args = (msg, delivery, on_deliver)
+        # arrival - now, as schedule_at computes it: same float time
+        self.engine.requeue(ev, arrival - now)
         return msg
 
     def _finish_delivery(self, msg: Message, delivery, on_deliver) -> None:

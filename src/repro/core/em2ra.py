@@ -53,13 +53,20 @@ class EM2RAMachine(MigrationMachineBase):
         self._schemes = [scheme.clone() for _ in range(trace.num_threads)]
         for s in self._schemes:
             s.reset()
+        # index-addressed replay (DP plans) answers by access index
+        self._replay = hasattr(scheme, "decision_for")
         self._c_remote = self.stats.counters.cell("remote_accesses")
+        self._ra_fixed = config.cost.remote_access_fixed
+        # request: address + opcode, plus the data word on a write;
+        # reply: an ack on a write, the data word on a read
+        self._req_bits = (64 + 8, 64 + 8 + config.word_bits)
+        self._rep_bits = (config.word_bits, 8)
 
     def _handle_nonlocal(
         self, th: ThreadState, addr: int, write: bool, home: int, delay: float
     ) -> None:
         scheme = self._schemes[th.tid]
-        if hasattr(scheme, "decision_for"):  # index-addressed replay (DP plans)
+        if self._replay:
             decision = scheme.decision_for(th.tid, th.idx)
         else:
             decision = scheme.decide(th.core, home, addr, write)
@@ -70,53 +77,60 @@ class EM2RAMachine(MigrationMachineBase):
         self._remote_access(th, addr, write, home, delay)
 
     # -- remote access round trip ----------------------------------------
+    # Four transport hops — request departure, request delivery, reply
+    # departure, reply delivery — then the thread's next step. Fault-free
+    # runs carry all four on the thread's one transport event and its
+    # recycled request/reply messages (see ThreadState._tx_ev).
     def _remote_access(
         self, th: ThreadState, addr: int, write: bool, home: int, delay: float
     ) -> None:
         self._c_remote.n += 1
-        req_bits = 64 + 8 + (self.config.word_bits if write else 0)
-        msg = Message(
-            src=th.core,
-            dst=home,
-            payload_bits=req_bits,
-            vnet=VirtualNetwork.RA_REQUEST,
-            kind="ra-request",
-            body=(th, addr, write),
-        )
-        fixed = self.config.cost.remote_access_fixed
-        self.engine.schedule(
-            delay + fixed,
-            lambda: self._send_reliable(
-                msg, self._ra_at_home, f"ra-request tid={th.tid} {th.core}->{home}"
-            ),
-        )
+        msg = th._ra_req
+        if msg is None:
+            msg = Message(
+                src=th.core,
+                dst=home,
+                payload_bits=self._req_bits[write],
+                vnet=VirtualNetwork.RA_REQUEST,
+                kind="ra-request",
+                body=(th, addr, write),
+            )
+            if self._recycle:
+                th._ra_req = msg
+        else:
+            msg.src = th.core
+            msg.dst = home
+            msg.payload_bits = self._req_bits[write]
+            msg.body = (th, addr, write)
+        self._send_later(th, delay + self._ra_fixed, msg, self._ra_at_home)
 
     def _ra_at_home(self, msg: Message) -> None:
         th, addr, write = msg.body
         home = msg.dst
         # the home core performs the access against its own caches
         lat = self._access_latency(home, addr, write)
-        reply_bits = 8 if write else self.config.word_bits
-        reply = Message(
-            src=home,
-            dst=msg.src,
-            payload_bits=reply_bits,
-            vnet=VirtualNetwork.RA_REPLY,
-            kind="ra-reply",
-            body=th,
-        )
-        self.engine.schedule(
-            lat,
-            lambda: self._send_reliable(
-                reply, self._ra_done, f"ra-reply tid={th.tid} {home}->{msg.src}"
-            ),
-        )
+        reply = th._ra_rep
+        if reply is None:
+            reply = Message(
+                src=home,
+                dst=msg.src,
+                payload_bits=self._rep_bits[write],
+                vnet=VirtualNetwork.RA_REPLY,
+                kind="ra-reply",
+                body=th,
+            )
+            if self._recycle:
+                th._ra_rep = reply
+        else:
+            reply.src = home
+            reply.dst = msg.src
+            reply.payload_bits = self._rep_bits[write]
+        self._send_later(th, lat, reply, self._ra_done)
 
     def _ra_done(self, msg: Message) -> None:
         th: ThreadState = msg.body
-        fixed = self.config.cost.remote_access_fixed
         th.idx += 1  # the access completed remotely
-        th.pending = self.engine.schedule(fixed, self._step_cb, th)
+        self._push_step(th, self._ra_fixed)
         # the thread is evictable again: a migrant stalled behind this
         # core's pinned guests may now displace it
         if not self.contexts[th.core].is_native(th.tid):

@@ -149,10 +149,9 @@ class EpochStepper:
         """Open a merged walk at ``th``'s step if provably safe.
 
         Returns True when the step (and possibly many more) was fully
-        handled; False to fall back to the event-driven slow path.
+        handled; False to fall back to the event-driven slow path. Never
+        called once ``disabled``: the machine retires the dispatch then.
         """
-        if self.disabled:
-            return False
         i = th.idx
         if i >= th.size:
             return False
@@ -190,6 +189,9 @@ class EpochStepper:
             self._probe_mark = self.batched_accesses
             if recent < 64 * self.MIN_YIELD:
                 self.disabled = True
+                # every later step goes straight to _step_slow; this
+                # window (its steps already collected above) still runs
+                m._retire_stepper()
         th.pending = None
         heap = [(now, -1, th)]
         if steps:

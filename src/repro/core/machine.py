@@ -69,16 +69,20 @@ class ThreadState:
     # place instead of allocating a new Event per access. A cancelled
     # event may still sit in the heap (lazy deletion) and is abandoned.
     _ev: Event | None = None
-    # recycled transport containers (fault-free runs only): a thread's
-    # previous departure event always fired, and its previous
-    # migration/eviction message was always delivered, before the next
-    # one is needed (departure precedes delivery precedes admission
-    # precedes the step that migrates again), so all three are rewritten
-    # in place instead of allocated per migration. The fault plane keeps
-    # fresh messages — dup-delivery closures hold them past delivery.
-    _dep_ev: Event | None = None
+    # recycled transport (fault-free runs only). A thread has at most
+    # one transport event in flight: a departure, the delivery it turns
+    # into, or one hop of a remote-access round trip. Each fires before
+    # the thread's next transfer can start (departure precedes delivery
+    # precedes admission precedes the step that migrates again; an RA
+    # caller is pinned until its reply lands), so one Event per thread
+    # is rewritten in place for all of them, and each message kind is
+    # one Message rewritten per send. Fault runs keep fresh messages —
+    # the fault plane's dup-delivery closures hold them past delivery.
+    _tx_ev: Event | None = None
     _mig_msg: Message | None = None
     _evt_msg: Message | None = None
+    _ra_req: Message | None = None
+    _ra_rep: Message | None = None
 
 
 class MigrationMachineBase:
@@ -188,16 +192,20 @@ class MigrationMachineBase:
         # histogram once (it exists for every machine run: the stepper
         # and the scalar step both record through it)
         self._hist_run = self.stats.histogram("run_length")
-        # fault-free transport: contention-free runs bind
-        # Network.send_fast (no per-send delivery closure, no untaken
-        # injector/contention branches); contended fault-free runs keep
+        # transport, bound once: fault-free runs depart on the thread's
+        # recycled transport event (see ThreadState._tx_ev), which calls
+        # _net_send directly. Contention-free runs bind Network.send_fast
+        # and its delivery reuses the same event (no per-send closure,
+        # no untaken injector/contention branches); contended runs keep
         # Network.send. Fault runs go through _send_reliable instead.
+        self._recycle = faults is None
         if faults is None:
             self._net_send = (
-                self.network.send if config.noc.contention else self.network.send_fast
+                self._send_contended if config.noc.contention else self.network.send_fast
             )
+            self._send_later = self._send_on_tx
         else:
-            self._net_send = None
+            self._send_later = self._send_later_reliable
         self._mig_fixed = config.cost.migration_fixed
         self._evt_fixed = config.cost.eviction_fixed
         self._ctx_bits = config.context.full_context_bits
@@ -206,14 +214,16 @@ class MigrationMachineBase:
         # has no batchable state), no fault plane (recovery must stay
         # event-driven), no context multiplexing (occupancy couples
         # threads between events). `_step_cb` is what every step event
-        # carries as its callback: the dispatch wrapper when the fast
-        # path is on, the slow step directly when off, so the classic
-        # path pays nothing for the knob.
+        # carries as its callback: the dispatch wrapper while the fast
+        # path is on, the slow step directly when off — and from the
+        # moment the stepper disables itself (_retire_stepper) — so the
+        # classic path pays nothing for the knob.
         self._stepper = None
         if fast_path and cache_detail and faults is None and not config.multiplex_contexts:
             from repro.core.epoch import EpochStepper
 
             self._stepper = EpochStepper(self)
+            self._try_window = self._stepper.try_window
             self._step_cb = self._step
             self._fastpath_reason = None
         else:
@@ -235,6 +245,8 @@ class MigrationMachineBase:
             th.homes = self._homes[t]
             th.icounts = self._icounts[t]
             th.size = self._sizes[t]
+            if faults is None:
+                th._tx_ev = Event(0.0, -1, None)
         # fault-plane recovery state: None-guarded so the fault-free
         # path pays one attribute test per access and nothing else
         self._core_stall = faults.core_stall if faults is not None else None
@@ -259,7 +271,7 @@ class MigrationMachineBase:
         self._started = True
         for th in self.threads:
             self.contexts[th.native].admit_native(th.tid, 0.0)
-            th.pending = self.engine.schedule(0.0, self._step_cb, th)
+            self._push_step(th, 0.0)
         self.engine.run(max_events=max_events)
         # fold the deferred per-core event counts into the pooled matrix
         mat = self._core_mat
@@ -315,11 +327,39 @@ class MigrationMachineBase:
         threads in exact event order without the engine heap
         (:class:`repro.core.epoch.EpochStepper`); anything else falls
         through to the event-driven slow step. Only bound as the step
-        callback when the fast path is enabled.
+        callback while the fast path is enabled.
         """
-        if self._stepper.try_window(th):
+        if self._try_window(th):
             return
         self._step_slow(th)
+
+    def _retire_stepper(self) -> None:
+        """The stepper disabled itself for the rest of the run: bind
+        ``_step_slow`` as the step callback and rewrite it into every
+        live step event and every thread's recycled step event, so no
+        later step pays the ``_step`` -> ``try_window`` dispatch (which
+        would only fall through to ``_step_slow``). Events stay where
+        they are in the heap; only what they call changes.
+        """
+        old = self._step_cb
+        slow = self._step_cb = self._step_slow
+        for _when, _seq, ev in self.engine._queue:
+            if ev.callback is old:
+                ev.callback = slow
+        for th in self.threads:
+            if th._ev is not None:
+                th._ev.callback = slow
+
+    def _push_step(self, th: ThreadState, delay: float) -> None:
+        """Schedule ``th``'s next step ``delay`` from now, on its
+        recycled step event when that one already fired (a cancelled
+        one may still sit in the heap and is abandoned)."""
+        ev = th._ev
+        if ev is None or ev.cancelled:
+            ev = th._ev = self.engine.schedule(delay, self._step_cb, th)
+        else:
+            self.engine.requeue(ev, delay)
+        th.pending = ev
 
     def _step_slow(self, th: ThreadState) -> None:
         """Process thread's next access from its current core.
@@ -399,26 +439,45 @@ class MigrationMachineBase:
         self.contexts[th.core].release(th.tid)
         self._admit_waiter_if_any(th.core)
 
-    # -- reliable transfer (fault-plane recovery) ------------------------
-    def _send_reliable(self, msg: Message, on_deliver, desc: str) -> None:
-        """Send ``msg``, surviving injected drops and duplicates.
+    # -- transport -------------------------------------------------------
+    def _send_on_tx(
+        self, th: ThreadState, delay: float, msg: Message, on_deliver
+    ) -> None:
+        """Fault-free departure: ``msg`` leaves ``delay`` from now on
+        ``th``'s transport event, which then runs ``_net_send`` (and,
+        contention-free, carries the delivery too — see
+        ``ThreadState._tx_ev``)."""
+        ev = th._tx_ev
+        ev.callback = self._net_send
+        ev.args = (msg, on_deliver, ev)
+        self.engine.requeue(ev, delay)
 
-        Fault-free machines fall straight through to ``Network.send``.
-        With an injector, each transfer gets (a) *duplicate
-        suppression* — the first delivery wins, later copies only bump
-        ``dup_ignored`` — and (b) *timeout/retry*: a dropped copy is
-        detected (ideal failure detector, see ``Network.send``) and a
-        fresh copy departs after ``retry_timeout * backoff**attempt``
-        cycles, charged to ``recovery_stall``. After ``retry_cap``
-        consecutive losses the protocol gives up with
-        :class:`RetryExhaustedError` naming the transfer. With
-        ``retries=False`` a loss strands the transfer, and the run ends
-        in a quiescence :class:`ProtocolError` — the behaviour the
-        liveness audit exists to rule out.
+    def _send_contended(self, msg: Message, on_deliver, _ev: Event) -> None:
+        """``_net_send`` under NoC contention: the classic send (its
+        delivery runs on a fresh event, behind a closure)."""
+        self.network.send(msg, on_deliver)
+
+    def _send_later_reliable(
+        self, th: ThreadState, delay: float, msg: Message, on_deliver
+    ) -> None:
+        """Fault-run departure: a fresh event runs :meth:`_send_reliable`."""
+        self.engine.schedule(delay, self._send_reliable, msg, on_deliver, th.tid)
+
+    def _send_reliable(self, msg: Message, on_deliver, tid: int) -> None:
+        """Send ``msg`` for thread ``tid``, surviving injected drops and
+        duplicates (fault runs only).
+
+        Each transfer gets (a) *duplicate suppression* — the first
+        delivery wins, later copies only bump ``dup_ignored`` — and (b)
+        *timeout/retry*: a dropped copy is detected (ideal failure
+        detector, see ``Network.send``) and a fresh copy departs after
+        ``retry_timeout * backoff**attempt`` cycles, charged to
+        ``recovery_stall``. After ``retry_cap`` consecutive losses the
+        protocol gives up with :class:`RetryExhaustedError` naming the
+        transfer. With ``retries=False`` a loss strands the transfer,
+        and the run ends in a quiescence :class:`ProtocolError` — the
+        behaviour the liveness audit exists to rule out.
         """
-        if self.faults is None:
-            self.network.send(msg, on_deliver)
-            return
         self._open_transfers += 1
         state = [0, False]  # [resend count, completed]
 
@@ -438,16 +497,15 @@ class MigrationMachineBase:
                 return  # stranded: quiescence check reports the hang
             if attempt >= self._retry_cap:
                 raise RetryExhaustedError(
-                    f"{desc}: all {attempt + 1} copies lost, retry cap "
+                    f"{msg.kind} tid={tid} {msg.src}->{msg.dst}: all "
+                    f"{attempt + 1} copies lost, retry cap "
                     f"{self._retry_cap} exhausted"
                 )
             state[0] = attempt + 1
             wait = self._retry_timeout * self._retry_backoff**attempt
             self._c_retries.n += 1
             self._recovery_stall.add(wait)
-            self.engine.schedule(
-                wait, lambda: self.network.send(msg, deliver, on_drop=dropped)
-            )
+            self.engine.schedule(wait, self.network.send, msg, deliver, dropped)
 
         self.network.send(msg, deliver, on_drop=dropped)
 
@@ -461,70 +519,23 @@ class MigrationMachineBase:
             self._admit_waiter_if_any(src)
         self._c_migrations.n += 1
         self._mig_in[dest] += 1
-        if self._net_send is not None:
-            msg = th._mig_msg
-            if msg is None:
-                msg = th._mig_msg = Message(
-                    src=src,
-                    dst=dest,
-                    payload_bits=self._ctx_bits,
-                    vnet=VirtualNetwork.MIGRATION,
-                    kind="migration",
-                    body=th,
-                )
-            else:
-                msg.src = src
-                msg.dst = dest
-            # after_delay models the remaining local work before departure
-            self._push_departure(
-                th, after_delay + self._mig_fixed, self._depart_migration, msg
+        msg = th._mig_msg
+        if msg is None:
+            msg = Message(
+                src=src,
+                dst=dest,
+                payload_bits=self._ctx_bits,
+                vnet=VirtualNetwork.MIGRATION,
+                kind="migration",
+                body=th,
             )
-            return
-        msg = Message(
-            src=src,
-            dst=dest,
-            payload_bits=self._ctx_bits,
-            vnet=VirtualNetwork.MIGRATION,
-            kind="migration",
-            body=th,
-        )
-        self.engine.schedule(
-            after_delay + self._mig_fixed,
-            lambda: self._send_reliable(
-                msg, self._arrive, f"migration tid={th.tid} {src}->{dest}"
-            ),
-        )
-
-    def _push_departure(
-        self, th: ThreadState, delay: float, callback, msg: Message
-    ) -> None:
-        """Schedule a context departure on the thread's recycled event.
-
-        Departure events are never cancelled and a thread's previous one
-        always fired before its next migration/eviction is initiated, so
-        the Event is rewritten in place (see ``ThreadState._dep_ev``).
-        """
-        eng = self.engine
-        when = eng.now + delay
-        seq = eng._seq
-        ev = th._dep_ev
-        if ev is None:
-            ev = th._dep_ev = Event(when, seq, callback, (msg,), eng)
+            if self._recycle:
+                th._mig_msg = msg
         else:
-            ev.time = when
-            ev.seq = seq
-            ev.callback = callback
-            ev.args = (msg,)
-            ev._engine = eng
-        eng._seq = seq + 1
-        eng._live += 1
-        heappush(eng._queue, (when, seq, ev))
-
-    def _depart_migration(self, msg: Message) -> None:
-        self._net_send(msg, self._arrive)
-
-    def _depart_eviction(self, msg: Message) -> None:
-        self._net_send(msg, self._evict_arrive)
+            msg.src = src
+            msg.dst = dest
+        # after_delay models the remaining local work before departure
+        self._send_later(th, after_delay + self._mig_fixed, msg, self._arrive)
 
     def _arrive(self, msg: Message) -> None:
         self._try_admit(msg.body, msg.dst)
@@ -572,20 +583,8 @@ class MigrationMachineBase:
         th.core = dest
         # the access that triggered the migration executes here, on the
         # thread's recycled step event (its previous step event fired
-        # before the migration; a cancelled one is abandoned in the heap)
-        eng = self.engine
-        seq = eng._seq
-        ev = th._ev
-        if ev is None or ev.cancelled:
-            ev = th._ev = Event(now, seq, self._step_cb, (th,), eng)
-        else:
-            ev.time = now
-            ev.seq = seq
-            ev._engine = eng
-        eng._seq = seq + 1
-        eng._live += 1
-        heappush(eng._queue, (now, seq, ev))
-        th.pending = ev
+        # before the migration)
+        self._push_step(th, 0.0)
 
     def _pick_evictable_victim(self, core: int) -> int | None:
         """LRU among guests that are between events (evictable)."""
@@ -624,37 +623,21 @@ class MigrationMachineBase:
         victim.in_transit = True
         self._c_evictions.n += 1
         self._evict_out[core] += 1
-        if self._net_send is not None:
-            msg = victim._evt_msg
-            if msg is None:
-                msg = victim._evt_msg = Message(
-                    src=core,
-                    dst=victim.native,
-                    payload_bits=self._ctx_bits,
-                    vnet=VirtualNetwork.EVICTION,
-                    kind="eviction",
-                    body=victim,
-                )
-            else:
-                msg.src = core
-            self._push_departure(victim, self._evt_fixed, self._depart_eviction, msg)
-            return
-        msg = Message(
-            src=core,
-            dst=victim.native,
-            payload_bits=self._ctx_bits,
-            vnet=VirtualNetwork.EVICTION,
-            kind="eviction",
-            body=victim,
-        )
-        self.engine.schedule(
-            self._evt_fixed,
-            lambda: self._send_reliable(
-                msg,
-                self._evict_arrive,
-                f"eviction tid={victim_tid} {core}->{victim.native}",
-            ),
-        )
+        msg = victim._evt_msg
+        if msg is None:
+            msg = Message(
+                src=core,
+                dst=victim.native,
+                payload_bits=self._ctx_bits,
+                vnet=VirtualNetwork.EVICTION,
+                kind="eviction",
+                body=victim,
+            )
+            if self._recycle:
+                victim._evt_msg = msg
+        else:
+            msg.src = core
+        self._send_later(victim, self._evt_fixed, msg, self._evict_arrive)
 
     def _evict_arrive(self, msg: Message) -> None:
         victim: ThreadState = msg.body
@@ -662,7 +645,7 @@ class MigrationMachineBase:
         victim.core = victim.native
         self.contexts[victim.native].admit_native(victim.tid, self.engine.now)
         # the interrupted access restarts from the native core
-        victim.pending = self.engine.schedule(0.0, self._step_cb, victim)
+        self._push_step(victim, 0.0)
 
     # ------------------------------------------------------------------
     def _handle_nonlocal(

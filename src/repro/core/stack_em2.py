@@ -165,7 +165,10 @@ class StackEM2Machine(MigrationMachineBase):
             )
         if window < 1:
             raise ConfigError("window must be >= 1")
-        super().__init__(trace, placement, config, topology, cache_detail)
+        # the epoch stepper models the register-file step, not this
+        # one's stack-window checks: build none, so _step_slow (below)
+        # is the step callback for the whole run
+        super().__init__(trace, placement, config, topology, cache_detail, fast_path=False)
         self.depth_scheme = depth_scheme
         self.window = window
         # per-thread resident guest depth; meaningless while at native
@@ -180,7 +183,7 @@ class StackEM2Machine(MigrationMachineBase):
     def _stack_bits(self, depth: int) -> int:
         return self.config.context.stack_context_bits(depth)
 
-    def _step(self, th: ThreadState) -> None:  # overrides the base walk
+    def _step_slow(self, th: ThreadState) -> None:  # overrides the base step
         th.pending = None
         tid = th.tid
         idx = th.idx
@@ -295,7 +298,7 @@ class StackEM2Machine(MigrationMachineBase):
         )
 
     def _handle_nonlocal(self, th, addr, write, home, delay):  # pragma: no cover
-        raise NotImplementedError("StackEM2Machine overrides _step directly")
+        raise NotImplementedError("StackEM2Machine overrides _step_slow directly")
 
     def results(self) -> dict:
         out = super().results()

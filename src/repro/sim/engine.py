@@ -109,6 +109,28 @@ class Engine:
         """Schedule ``callback(*args)`` at absolute simulation ``time``."""
         return self.schedule(time - self.now, callback, *args)
 
+    def requeue(self, ev: Event, delay: float) -> Event:
+        """Put a fired event back in the queue ``delay`` from now.
+
+        The recycling counterpart of :meth:`schedule`: same time and
+        sequence number as a fresh ``schedule(delay, ...)`` call here,
+        without allocating an :class:`Event`. ``ev`` must have fired
+        and not be cancelled — a fired event is out of the heap, while
+        a cancelled one may still sit in it (lazy deletion). Callers
+        that change what runs assign ``ev.callback``/``ev.args`` first;
+        ``delay`` must be >= 0 (unchecked: this is the transport hot
+        path).
+        """
+        when = self.now + delay
+        seq = self._seq
+        ev.time = when
+        ev.seq = seq
+        ev._engine = self  # the run loop cleared it on pop
+        self._seq = seq + 1
+        self._live += 1
+        heapq.heappush(self._queue, (when, seq, ev))
+        return ev
+
     def peek_time(self) -> float | None:
         """Time of the next pending event, or None if the queue is empty."""
         while self._queue and self._queue[0][2].cancelled:

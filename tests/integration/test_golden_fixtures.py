@@ -49,7 +49,7 @@ def test_scenario_specs_round_trip():
     the spec path also proves spec resolution is lossless."""
     from repro.spec import ExperimentSpec
 
-    for key, spec_dict in golden.scenario_specs().items():
+    for key, spec_dict in golden.all_scenario_specs().items():
         assert ExperimentSpec.from_dict(spec_dict).to_dict() == spec_dict, key
 
 
@@ -57,14 +57,7 @@ def test_scenario_set_matches(committed, recomputed):
     assert sorted(recomputed) == sorted(committed)
 
 
-@pytest.mark.parametrize(
-    "scenario",
-    sorted(
-        f"{trace}/{arch}"
-        for trace in golden.TRACES
-        for arch in ("em2", "em2ra-history", "ra-only", "cc-msi", "cc-mesi")
-    ),
-)
+@pytest.mark.parametrize("scenario", sorted(golden.all_scenario_specs()))
 def test_scenario_bit_identical(scenario, committed, recomputed):
     """Exact equality, per scenario so a mismatch names its simulator."""
     # round-trip the recomputed side through JSON so numeric types

@@ -88,7 +88,7 @@ def test_block_kernel_incremental_equals_one_shot(seed):
     assert chunked.resident_lines() == whole.resident_lines()
 
 
-@pytest.mark.parametrize("assoc", [1, 2, 4])
+@pytest.mark.parametrize("assoc", [1, 2, 4, 8])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_frozen_prefix_and_bulk_apply_match_scalar_hierarchy(assoc, seed):
     """frozen_hit_prefix + apply_hit_prefix vs scalar L1 lookups.

@@ -102,6 +102,38 @@ def test_cache_never_exceeds_capacity_and_tracks_residency(ops):
 
 
 @settings(max_examples=40)
+@given(
+    st.sampled_from([1, 2, 4, 8]),
+    st.lists(st.tuples(st.integers(0, 63), st.booleans()), max_size=300),
+)
+def test_cache_fill_victim_is_true_lru(assoc, ops):
+    """The fill's victim scan (first stamp minimum of the set row)
+    evicts exactly the way a reference per-set LRU order list fronts."""
+    cfg = CacheConfig(size_bytes=4 * assoc * 16, line_bytes=16, associativity=assoc)
+    cache = CacheArray(cfg)
+    order: dict[int, list[int]] = {}  # set -> resident lines, LRU first
+    for line, refill in ops:
+        addr = line * 16
+        lru = order.setdefault(line % cfg.num_sets, [])
+        if cache.lookup(addr) is not None:
+            lru.remove(line)
+            lru.append(line)
+            if refill:  # refill of a resident line only touches it
+                assert cache.fill(addr) is None
+            continue
+        victim = cache.fill(addr)
+        if len(lru) == assoc:
+            assert victim is not None
+            assert victim.tag * cfg.num_sets + line % cfg.num_sets == lru.pop(0)
+        else:
+            assert victim is None
+        lru.append(line)
+    assert sorted(cache.resident_addrs()) == sorted(
+        ln * 16 for lines in order.values() for ln in lines
+    )
+
+
+@settings(max_examples=40)
 @given(st.lists(st.sampled_from(["push", "pop", "peek"]), max_size=200))
 def test_stack_cache_equals_plain_list(ops):
     """StackCache with spills must behave exactly like an unbounded list."""

@@ -161,3 +161,26 @@ def test_event_is_slotted():
     assert not hasattr(ev, "__dict__")
     with pytest.raises(AttributeError):
         ev.arbitrary_attribute = 1
+
+
+def test_requeue_reuses_a_fired_event_like_schedule():
+    """requeue() re-times a fired event exactly as a fresh schedule()
+    at the same moment would: same time, next sequence number, counted
+    live, and same-time FIFO order with fresh events preserved."""
+    eng = Engine()
+    order = []
+    ev = eng.schedule(1.0, order.append, "a")
+    eng.run()
+    assert order == ["a"] and eng.pending() == 0
+    eng.schedule(2.0, order.append, "b")
+    seq = eng._seq
+    ev.args = ("c",)
+    assert eng.requeue(ev, 2.0) is ev
+    assert (ev.time, ev.seq) == (3.0, seq)
+    assert eng.pending() == 2
+    eng.schedule(2.0, order.append, "d")
+    eng.run()
+    assert order == ["a", "b", "c", "d"]
+    assert eng.events_executed == 4
+    ev.cancel()  # late cancel of the fired event leaves the counter alone
+    assert eng.pending() == 0

@@ -69,6 +69,30 @@ def test_fast_path_bit_parity(machine, workload, params):
     assert slow["fast_path"]["disabled_reason"] == "off"
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="known bug: the EM2 EpochStepper is not bit-identical to the "
+    "event-driven path at 32+ cores (migrations 193 vs 192, evictions 131 "
+    "vs 128 here); pinned until the fix lands with regenerated benchmark "
+    "digests",
+)
+def test_fast_path_bit_parity_lu_32_cores():
+    """Smallest known fast-path divergence: SPLASH-style lu at the
+    paper's preset. When the stepper is fixed this XPASSes, which
+    fails the suite (strict), so the marker cannot outlive the bug."""
+
+    def lu(fast_path):
+        return run(ExperimentSpec(
+            workload=WorkloadSpec(name="lu", params=dict(num_threads=32, blocks=4)),
+            machine=MachineSpec(name="em2", cores=32, preset="default",
+                                fast_path=fast_path),
+            scheme=SchemeSpec(name="history"),
+            placement=PlacementSpec(name="first-touch"),
+        ))
+
+    assert _strip(lu(True)) == _strip(lu(False))
+
+
 # ---------------------------------------------------------------- boundaries
 def _em2_machine(workload, params, fast_path=True, cores=8):
     from repro.core.em2 import EM2Machine
@@ -120,6 +144,31 @@ def test_stepper_disables_itself_on_boundary_dense_traces():
     s = m._stepper
     assert s.disabled
     assert s.windows >= 64  # it probed before giving up
+
+
+def test_disabled_stepper_retires_the_step_dispatch():
+    """Once the stepper gives up, every later step calls _step_slow
+    directly: no step pays the _step -> try_window dispatch again, the
+    live step events carry the slow step, and rows are unchanged."""
+    params = dict(num_threads=8, rounds=250, run=8)
+    m = _em2_machine("pingpong", params, cores=16)
+    s = m._stepper
+    after_disable = []
+    inner = m._try_window
+
+    def counting(th):
+        after_disable.append(s.disabled)
+        return inner(th)
+
+    m._try_window = counting
+    m.run()
+    assert s.disabled
+    assert after_disable.count(True) == 0  # nothing dispatched after it
+    assert m._step_cb == m._step_slow
+    assert all(th._ev is None or th._ev.callback == m._step_slow for th in m.threads)
+    slow = _em2_machine("pingpong", params, fast_path=False, cores=16)
+    slow.run()
+    assert _strip(m.results()) == _strip(slow.results())
 
 
 def test_fast_path_off_means_no_stepper():

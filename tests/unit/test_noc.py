@@ -99,3 +99,24 @@ def test_contention_not_slower_than_zero_load():
 def test_negative_payload_rejected():
     with pytest.raises(ValueError):
         Message(src=0, dst=1, payload_bits=-1, vnet=VirtualNetwork.MIGRATION)
+
+
+def test_send_fast_delivers_on_the_senders_event():
+    """send_fast schedules the delivery on the sender's fired event
+    instead of a fresh one: same arrival time, sequence number and
+    accounting as send(), one message re-sent with no allocation."""
+    eng, _, net = _net()
+    ref_eng, _, ref = _net()
+    got, ref_got = [], []
+    msg = Message(src=0, dst=3, payload_bits=64, vnet=VirtualNetwork.RA_REQUEST)
+    ref_msg = Message(src=0, dst=3, payload_bits=64, vnet=VirtualNetwork.RA_REQUEST)
+    # the sender's event runs the send and then carries the delivery
+    ev = eng.schedule(2.0, lambda: None)
+    ev.callback, ev.args = net.send_fast, (msg, lambda m: got.append((eng.now, ev.seq)), ev)
+    ref_eng.schedule(2.0, lambda: ref.send(ref_msg, lambda m: ref_got.append(ref_eng.now)))
+    eng.run()
+    ref_eng.run()
+    assert got == [(9.0, 1)] and ref_got == [9.0]
+    assert eng.events_executed == ref_eng.events_executed == 2
+    assert msg.latency == ref_msg.latency == 7.0
+    assert net.stats.counters.as_dict() == ref.stats.counters.as_dict()

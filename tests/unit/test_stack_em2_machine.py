@@ -268,3 +268,25 @@ class TestVsRegisterFileEM2:
             m.network.message_count()
             >= m.stats.counters["migrations"]
         )
+
+
+class TestFastPath:
+    def test_no_stepper_and_reported_not_engaged(self, cfg):
+        """The epoch stepper models the register-file step, so the stack
+        machine builds none, reports it as off, and its own step is the
+        step callback for the whole run — never the base class's."""
+        from repro.core.machine import MigrationMachineBase
+
+        mt = stack_workload("hist", num_threads=4, n=24, shared_fraction=0.75)
+        m = StackEM2Machine(mt, first_touch(mt, 4), cfg, NeedBasedDepth(mt), window=8)
+        assert m._stepper is None
+        assert m._step_cb.__func__ is StackEM2Machine._step_slow
+        assert StackEM2Machine._step_slow is not MigrationMachineBase._step_slow
+        m.run()
+        fp = m.results()["fast_path"]
+        assert fp == {"engaged": False, "disabled_reason": "off"}
+        # its recycled step events carry its own step too
+        assert all(
+            th._ev is None or th._ev.callback.__func__ is StackEM2Machine._step_slow
+            for th in m.threads
+        )
