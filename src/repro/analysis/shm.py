@@ -21,13 +21,23 @@ Lifecycle rules (the part that goes wrong in practice):
   Nothing here survives the sweep — a crashed parent leaves at most
   the segments of one in-flight sweep (named ``repro_trc_*`` so they
   are identifiable in ``/dev/shm``).
-* **Workers** cache attachments per process and never close them while
-  views may be live (closing the mapping under a numpy view is a
-  use-after-free). Attached segments are detached automatically at
-  worker exit; the worker also *unregisters* the segment from the
-  resource tracker — on Python ≤ 3.12 attaching registers it, and the
-  tracker would otherwise unlink the parent's segment when the first
-  worker exits, corrupting its siblings.
+* **Workers** cache attachments per process and never close one while
+  an array mapped over it may be live (closing the mapping under a
+  numpy view is a use-after-free; numpy holds no buffer export that
+  would make ``close()`` refuse). The cache keeps only weak references
+  to its arrays, and :func:`release_unreferenced` closes the segments
+  nothing maps any more — a persistent pool worker then holds the
+  current sweep's traces, not every trace it ever attached.
+* Attaching registers the segment with the resource tracker (Python
+  ≤ 3.12 has no opt-out). Pool workers — forked, spawned or from a
+  forkserver — share their parent's tracker, which already holds the
+  parent's registration, so they leave it alone: unregistering would
+  remove the parent's entry, and the parent's own ``unlink()`` would
+  then make the tracker print a ``KeyError`` traceback. Only a process
+  with a tracker of its own unregisters, or its tracker would unlink
+  the parent's segment when that process exits, corrupting its
+  siblings. The descriptor names the publisher's tracker so an
+  attaching process can tell which case it is in.
 * :func:`shm_available` gates the whole path; platforms without
   ``/dev/shm`` (or with it mounted unwritable) fall back to the
   regenerate-in-worker behaviour, which is slower but always correct.
@@ -36,7 +46,9 @@ Lifecycle rules (the part that goes wrong in practice):
 from __future__ import annotations
 
 import contextlib
+import os
 import secrets
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,14 +107,29 @@ def _probe() -> bool:
                 pass
 
 
+def _tracker_id() -> list[int] | None:
+    """Identity of this process's resource tracker: the (device, inode)
+    of its pipe, which processes sharing one tracker also share.
+    ``None`` where there is no tracker to identify."""
+    if resource_tracker is None:
+        return None
+    try:
+        st = os.fstat(resource_tracker.getfd())
+    except OSError:  # the tracker cannot start on this host
+        return None
+    return [st.st_dev, st.st_ino]
+
+
 def _untrack(seg) -> None:
-    """Unregister ``seg`` from the resource tracker.
+    """Unregister ``seg`` from this process's own resource tracker.
 
     ``SharedMemory(name=...)`` registers the segment even when merely
-    attaching (fixed only in newer Pythons via ``track=False``); the
-    tracker then unlinks it when *this* process exits, yanking the
-    segment out from under the parent and every sibling worker. Only
-    the creating side should ever unlink.
+    attaching (fixed only in newer Pythons via ``track=False``); a
+    tracker of the attaching process's own then unlinks it when that
+    process exits, yanking the segment out from under the parent and
+    every sibling worker. Only the creating side should ever unlink.
+    Never call this where the tracker is the publisher's (see the module
+    docstring).
     """
     if resource_tracker is None:
         return
@@ -132,12 +159,6 @@ class PublishedTrace:
             pass
 
 
-# Names this process created: attach() must not unregister these from
-# the resource tracker — the tracker coalesces same-process
-# registrations, so the creator's unlink() is the one unregister.
-_published_names: set[str] = set()
-
-
 def publish(mt: MultiTrace) -> PublishedTrace:
     """Copy ``mt``'s thread columns into one shared segment.
 
@@ -163,7 +184,6 @@ def publish(mt: MultiTrace) -> PublishedTrace:
             continue
     if seg is None:  # pragma: no cover - 8 collisions of 64-bit names
         raise ConfigError("could not allocate a unique shared-memory segment")
-    _published_names.add(seg.name)
     try:
         off = 0
         for tr, n in zip(mt.threads, counts):
@@ -177,6 +197,7 @@ def publish(mt: MultiTrace) -> PublishedTrace:
             "native_cores": list(mt.thread_native_core),
             "name": mt.name,
             "params": dict(mt.params),
+            "tracker": _tracker_id(),
         }
     except BaseException:
         seg.close()
@@ -188,12 +209,13 @@ def publish(mt: MultiTrace) -> PublishedTrace:
     return PublishedTrace(descriptor=descriptor, _seg=seg)
 
 
-# Worker-side attachment cache: segment name -> (SharedMemory, MultiTrace).
-# Entries are deliberately never closed while the process lives — the
-# MultiTrace views alias the mapping, and a close under a live view is
-# a use-after-free. A sweep publishes a handful of traces, so this
-# stays tiny; the OS reclaims the mappings at process exit.
-_attached: dict[str, tuple[object, MultiTrace]] = {}
+# Worker-side attachment cache: segment name -> (SharedMemory, weak
+# references to every array mapped over it, weak reference to the
+# MultiTrace last built over it). Holding no strong reference is what
+# lets :func:`release_unreferenced` tell when nothing can read the
+# mapping any more: numpy's derived views (fields, slices) keep their
+# base array alive, so "every mapped array is dead" means no view is.
+_attached: dict[str, tuple[object, list, "weakref.ref"]] = {}
 
 
 def attach(descriptor: dict) -> MultiTrace:
@@ -201,17 +223,23 @@ def attach(descriptor: dict) -> MultiTrace:
 
     Views are marked non-writable: machines treat traces as immutable,
     and with shared pages a stray write would corrupt every sibling
-    worker, not just this one — better to fault loudly here.
+    worker, not just this one — better to fault loudly here. Repeated
+    calls return the same trace while anything holds it.
     """
     name = descriptor["segment"]
-    cached = _attached.get(name)
-    if cached is not None:
-        return cached[1]
-    if shared_memory is None:
-        raise ConfigError("shared memory is not available on this host")
-    seg = shared_memory.SharedMemory(name=name)
-    if name not in _published_names:
-        _untrack(seg)
+    entry = _attached.get(name)
+    if entry is not None:
+        mt = entry[2]()
+        if mt is not None:
+            return mt
+        seg, refs = entry[0], entry[1]
+    else:
+        if shared_memory is None:
+            raise ConfigError("shared memory is not available on this host")
+        seg = shared_memory.SharedMemory(name=name)
+        if descriptor.get("tracker") != _tracker_id():
+            _untrack(seg)
+        refs = []
     dtype = np.dtype([tuple(f) for f in descriptor["dtype"]])
     threads = []
     off = 0
@@ -219,6 +247,7 @@ def attach(descriptor: dict) -> MultiTrace:
         view = np.ndarray((n,), dtype=dtype, buffer=seg.buf, offset=off)
         view.setflags(write=False)
         threads.append(view)
+        refs.append(weakref.ref(view))
         off += n * dtype.itemsize
     mt = MultiTrace(
         threads=threads,
@@ -226,14 +255,30 @@ def attach(descriptor: dict) -> MultiTrace:
         name=descriptor["name"],
         params=dict(descriptor["params"]),
     )
-    _attached[name] = (seg, mt)
+    _attached[name] = (seg, refs, weakref.ref(mt))
     return mt
+
+
+def release_unreferenced() -> None:
+    """Close every cached attachment that no live array maps any more.
+
+    A sweep publishes fresh segments and the parent unlinks them when
+    it ends, but a mapping stays until this process closes it; pool
+    workers call this after each point, once the build memo has let go
+    of an earlier sweep's trace. An attachment some array still maps
+    stays open.
+    """
+    for name, (seg, refs, _mt) in list(_attached.items()):
+        if any(ref() is not None for ref in refs):
+            continue
+        seg.close()  # type: ignore[attr-defined]
+        del _attached[name]
 
 
 def detach_all() -> None:
     """Drop every cached attachment (tests only — callers must ensure
     no views over the segments are still referenced)."""
-    for seg, _ in _attached.values():
+    for seg, _refs, _mt in _attached.values():
         try:
             seg.close()  # type: ignore[attr-defined]
         except (OSError, BufferError):

@@ -6,9 +6,11 @@ only information a per-core hardware unit could have: the current
 core, the home core, the address, whether the access writes, and its
 own internal state (updated via :meth:`DecisionScheme.observe`).
 
-Schemes are deliberately sequential objects — the evaluator drives
-them access by access, mirroring the O(N) "cost of a specific
-decision" procedure in §3.
+Schemes are deliberately sequential objects — the reference evaluator
+drives them access by access, mirroring the O(N) "cost of a specific
+decision" procedure in §3. A scheme that declares itself
+*run-constant* lets the evaluator drive it one home run at a time
+instead (see :attr:`DecisionScheme.run_constant`).
 """
 
 from __future__ import annotations
@@ -28,13 +30,21 @@ class DecisionScheme(ABC):
 
     name = "abstract"
 
-    #: True for schemes whose ``decide`` is a pure function of
-    #: (current, home, write) — no address sensitivity, no history, no
-    #: randomness — and whose ``observe`` is a no-op. The evaluator
-    #: batches such schemes segment-by-segment instead of walking the
-    #: trace one access at a time (see
-    #: :func:`repro.core.evaluation.evaluate_thread_batched`).
-    stateless = False
+    #: True for schemes that keep the run-constant contract, which lets
+    #: :func:`repro.core.evaluation.evaluate_thread_runs` walk maximal
+    #: constant-home runs instead of accesses:
+    #:
+    #: * ``decide`` depends only on (current, home, write) and on state
+    #:   that changes only when ``observe`` sees an access homed
+    #:   elsewhere than the previous one — never on the address, an
+    #:   access count or a random stream;
+    #: * ``decide`` changes no state a later ``decide`` reads, except on
+    #:   the thread's first consultation;
+    #: * observing the accesses after a run's first one is equivalent to
+    #:   one :meth:`observe_run` call.
+    #:
+    #: A subclass that breaks the contract must set this back to False.
+    run_constant = False
 
     @abstractmethod
     def decide(self, current: int, home: int, addr: int, write: bool) -> Decision:
@@ -43,6 +53,11 @@ class DecisionScheme(ABC):
     def observe(self, current: int, home: int, addr: int, write: bool, decision: Decision) -> None:
         """Called after every access (including local ones) so history
         schemes can update their predictors. Default: no state."""
+
+    def observe_run(self, home: int, n: int) -> None:
+        """Observe ``n`` more accesses of the current run, all homed at
+        ``home`` — the run-level stand-in for ``n`` :meth:`observe`
+        calls, used only for run-constant schemes. Default: no state."""
 
     def reset(self) -> None:
         """Clear per-thread state (called between threads)."""

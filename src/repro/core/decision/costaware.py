@@ -21,6 +21,8 @@ scalar-threshold scheme across workloads.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from repro.core.costs import CostModel
@@ -33,6 +35,7 @@ class CostAwareHistory(DecisionScheme):
     """Last-run-length prediction + per-pair break-even decision."""
 
     name = "costaware-history"
+    run_constant = True  # the predictor changes only when a run ends
 
     def __init__(
         self,
@@ -49,15 +52,17 @@ class CostAwareHistory(DecisionScheme):
         mig = np.asarray(cost_model.migration)
         ra_r = np.asarray(cost_model.remote_read)
         ra_w = np.asarray(cost_model.remote_write)
-        # expected per-access RA cost blends reads/writes by the hint
-        self._ra = (1 - write_fraction_hint) * ra_r + write_fraction_hint * ra_w
-        self._round_trip = mig + mig.T
+        # expected per-access RA cost blends reads/writes by the hint;
+        # nested lists hold the same doubles as the numpy matrices and
+        # index without numpy scalar boxing
+        self._ra = ((1 - write_fraction_hint) * ra_r + write_fraction_hint * ra_w).tolist()
+        self._round_trip = (mig + mig.T).tolist()
         self._run_home: int | None = None
         self._run_len = 0
 
     def decide(self, current: int, home: int, addr: int, write: bool) -> Decision:
         L = self.predictor.predict(home)
-        if L * self._ra[current, home] > self._round_trip[current, home]:
+        if L * self._ra[current][home] > self._round_trip[current][home]:
             return Decision.MIGRATE
         return Decision.REMOTE
 
@@ -70,18 +75,21 @@ class CostAwareHistory(DecisionScheme):
         self._run_home = home
         self._run_len = 1
 
+    def observe_run(self, home: int, n: int) -> None:
+        self._run_len += n
+
     def reset(self) -> None:
         self.predictor.reset()
         self._run_home = None
         self._run_len = 0
 
     def clone(self) -> "CostAwareHistory":
-        return CostAwareHistory(
-            self.cost_model,
-            self.table_size,
-            self.initial_prediction,
-            self.write_fraction_hint,
-        )
+        # shares the read-only cost tables; only the predictor and the
+        # run tracker are per-thread
+        twin = copy.copy(self)
+        twin.predictor = PerHomePredictor(self.table_size, self.initial_prediction)
+        twin.reset()
+        return twin
 
 
 @SCHEMES.register("costaware", "run-length prediction + per-pair break-even test")

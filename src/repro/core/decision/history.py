@@ -60,6 +60,7 @@ class HistoryRunLength(DecisionScheme):
     """
 
     name = "history-runlength"
+    run_constant = True  # the predictor changes only when a run ends
 
     def __init__(
         self,
@@ -89,6 +90,9 @@ class HistoryRunLength(DecisionScheme):
             self.predictor.update(self._run_home, self._run_len)
         self._run_home = home
         self._run_len = 1
+
+    def observe_run(self, home: int, n: int) -> None:
+        self._run_len += n
 
     def reset(self) -> None:
         self.predictor.reset()

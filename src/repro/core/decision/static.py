@@ -9,6 +9,8 @@ fastest.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from repro.core.decision.base import Decision, DecisionScheme
@@ -21,7 +23,7 @@ class AlwaysMigrate(DecisionScheme):
     """Pure EM²: every non-local access migrates to the home core."""
 
     name = "always-migrate"
-    stateless = True
+    run_constant = True
 
     def decide(self, current: int, home: int, addr: int, write: bool) -> Decision:
         return Decision.MIGRATE
@@ -35,7 +37,7 @@ class NeverMigrate(DecisionScheme):
     """
 
     name = "never-migrate"
-    stateless = True
+    run_constant = True
 
     def decide(self, current: int, home: int, addr: int, write: bool) -> Decision:
         return Decision.REMOTE
@@ -73,10 +75,10 @@ class NativeFirst(DecisionScheme):
         self.native_core = native_core
 
     @property
-    def stateless(self) -> bool:
+    def run_constant(self) -> bool:
         # the native-core latch is fixed after the first consult, so the
-        # composition is batchable exactly when the away policy is
-        return self.away.stateless
+        # composition is run-constant exactly when the away policy is
+        return self.away.run_constant
 
     def decide(self, current: int, home: int, addr: int, write: bool) -> Decision:
         if self.native_core is None:
@@ -87,6 +89,9 @@ class NativeFirst(DecisionScheme):
 
     def observe(self, current: int, home: int, addr: int, write: bool, decision: Decision) -> None:
         self.away.observe(current, home, addr, write, decision)
+
+    def observe_run(self, home: int, n: int) -> None:
+        self.away.observe_run(home, n)
 
     def reset(self) -> None:
         self.native_core = None
@@ -105,7 +110,7 @@ class DistanceThreshold(DecisionScheme):
     """
 
     name = "distance-threshold"
-    stateless = True
+    run_constant = True
 
     def __init__(self, distance_matrix: np.ndarray, threshold: float) -> None:
         self.distance_matrix = np.asarray(distance_matrix)
@@ -114,14 +119,17 @@ class DistanceThreshold(DecisionScheme):
         ):
             raise ConfigError("distance_matrix must be square")
         self.threshold = threshold
+        # the comparator's outcome per (current, home) as nested lists:
+        # a list lookup is cheaper than a numpy scalar index
+        self._near = (self.distance_matrix <= threshold).tolist()
 
     def decide(self, current: int, home: int, addr: int, write: bool) -> Decision:
-        if self.distance_matrix[current, home] <= self.threshold:
+        if self._near[current][home]:
             return Decision.MIGRATE
         return Decision.REMOTE
 
     def clone(self) -> "DistanceThreshold":
-        return DistanceThreshold(self.distance_matrix, self.threshold)
+        return copy.copy(self)  # no per-thread state; shares the table
 
 
 class RandomScheme(DecisionScheme):

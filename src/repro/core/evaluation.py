@@ -7,22 +7,39 @@ every non-local access, moves the thread on MIGRATE, charges the cost
 model, and gathers the statistics every bench in this repo reports
 (cost, migration/RA counts, network traffic in bits, run lengths).
 
-``AlwaysMigrate`` and ``NeverMigrate`` take vectorized fast paths
-(identical semantics, no per-access Python loop) so the Figure 2-scale
-workloads evaluate in milliseconds. Any other *stateless* scheme
-(``DecisionScheme.stateless``: decide depends only on (current, home,
-write), observe is a no-op) takes the segment-batched kernel
-:func:`evaluate_thread_batched`, which consults the scheme once per
-home-run instead of once per access — between position changes the
-(current, home, write) triple, and hence the decision, cannot change.
-Stateful schemes (history, random) keep the sequential walk, which is
-itself unboxed: the hot loop runs on plain Python lists and floats,
-not per-access numpy scalar extraction.
+``evaluate_scheme`` takes one of three paths per thread:
+
+* ``AlwaysMigrate`` and ``NeverMigrate`` take vectorized closed forms
+  (no per-access Python loop).
+* Any other **run-constant** scheme (``DecisionScheme.run_constant``)
+  takes :func:`evaluate_thread_runs`, which walks maximal
+  constant-home runs instead of accesses. The contract a scheme must
+  keep to be run-constant:
+
+  - ``decide`` depends only on (current, home, write) and on state
+    that changes only when ``observe`` sees an access homed elsewhere
+    than the previous one (never on the address, an access counter or
+    a random stream);
+  - ``decide`` changes no state that a later ``decide`` reads, except
+    on the thread's first consultation (``NativeFirst``'s native-core
+    latch);
+  - observing the accesses after a run's first one — all with the
+    run's home — is equivalent to one ``observe_run(home, n)`` call.
+
+  The stateless schemes, ``HistoryRunLength``, ``CostAwareHistory``
+  and ``NativeFirst`` over any such away policy qualify.
+* Everything else (``addr-history``, ``random``) keeps the reference
+  walk :func:`evaluate_thread`, whose hot loop runs on plain Python
+  lists and floats rather than per-access numpy scalars.
+
+The cost model is converted to nested Python lists
+(:class:`CostTables`) once per ``evaluate_scheme`` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,6 +92,32 @@ class EvalResult:
         }
 
 
+class CostTables(NamedTuple):
+    """A :class:`CostModel`'s matrices as nested Python lists.
+
+    The kernels index these once per access or run; plain lists keep
+    that in native Python floats (no numpy scalar boxing).
+    """
+
+    migration: list
+    remote_read: list
+    remote_write: list
+    migration_bits: int
+    ra_bits_read: int
+    ra_bits_write: int
+
+    @classmethod
+    def of(cls, cost_model: CostModel) -> "CostTables":
+        return cls(
+            cost_model.migration.tolist(),
+            cost_model.remote_read.tolist(),
+            cost_model.remote_write.tolist(),
+            cost_model.migration_bits(),
+            cost_model.remote_access_bits(write=False),
+            cost_model.remote_access_bits(write=True),
+        )
+
+
 def evaluate_thread(
     homes: np.ndarray,
     writes: np.ndarray,
@@ -82,13 +125,15 @@ def evaluate_thread(
     scheme: DecisionScheme,
     cost_model: CostModel,
     addrs: np.ndarray | None = None,
+    tables: CostTables | None = None,
 ) -> tuple[float, int, int, int, int, np.ndarray]:
-    """Sequential evaluation of one thread.
+    """Sequential evaluation of one thread: the reference walk.
 
     Returns (cost, migrations, remote, local, traffic_bits, exec_cores)
     where ``exec_cores[k]`` is the core where access k executed (home
     for MIGRATE/LOCAL, the thread's position for REMOTE). ``addrs``
     feeds address-indexed schemes; omitted, schemes see address 0.
+    ``tables`` defaults to ``CostTables.of(cost_model)``.
     """
     homes = np.asarray(homes, dtype=np.int64)
     writes = np.asarray(writes).astype(bool)
@@ -96,22 +141,13 @@ def evaluate_thread(
         addrs = np.zeros(homes.size, dtype=np.int64)
     else:
         addrs = np.asarray(addrs, dtype=np.int64)
-    mig = cost_model.migration
-    ra_r = cost_model.remote_read
-    ra_w = cost_model.remote_write
-    mig_bits = cost_model.migration_bits()
-    ra_bits_r = cost_model.remote_access_bits(write=False)
-    ra_bits_w = cost_model.remote_access_bits(write=True)
+    if tables is None:
+        tables = CostTables.of(cost_model)
+    mig_t, ra_r_t, ra_w_t, mig_bits, ra_bits_r, ra_bits_w = tables
 
-    # hot loop: plain lists and nested-list cost tables keep every
-    # per-access operation in native Python objects (no numpy scalar
-    # boxing/unboxing per access)
     homes_l = homes.tolist()
     writes_l = writes.tolist()
     addrs_l = addrs.tolist()
-    mig_t = mig.tolist()
-    ra_r_t = ra_r.tolist()
-    ra_w_t = ra_w.tolist()
     MIGRATE, LOCAL = Decision.MIGRATE, Decision.LOCAL
     decide, observe = scheme.decide, scheme.observe
 
@@ -174,91 +210,120 @@ def _fast_never_migrate(homes, writes, start_core, cost_model):
     return cost, 0, n_ra, n_loc, bits, exec_cores
 
 
-def evaluate_thread_batched(
+def evaluate_thread_runs(
     homes: np.ndarray,
     writes: np.ndarray,
     start_core: int,
     scheme: DecisionScheme,
     cost_model: CostModel,
+    tables: CostTables | None = None,
 ) -> tuple[float, int, int, int, int, np.ndarray]:
-    """Segment-batched evaluation for stateless schemes.
+    """Run-level evaluation for run-constant schemes.
 
-    For a scheme whose decision is a pure function of (current, home,
-    write), the decision cannot change while the thread stays put and
-    the home stays put — so the trace is processed one *home run* at a
-    time. Per run the scheme is consulted at most twice (read and
-    write flavour), and the run's cost is charged with vectorized
-    counts. Python work is O(runs), not O(accesses); exact parity with
-    :func:`evaluate_thread` is enforced by the unit tests.
+    Walks maximal constant-home runs instead of accesses and returns
+    exactly what :func:`evaluate_thread` returns for the same scheme
+    (the unit and property tests enforce it). Per run, in the walk's
+    order:
+
+    * the run's first access is decided and observed on its own — that
+      ``observe`` is where a history scheme closes the previous run, so
+      with aliasing predictor slots the rest of the run may decide
+      differently from its first access;
+    * if the first access went remote, the rest of the run is decided
+      once per read/write flavour present, and the thread migrates at
+      the first access whose flavour says MIGRATE;
+    * the rest of the run is observed with one ``observe_run(home, n)``.
+
+    Remote accesses are charged as count x table entry; cost entries
+    are integer cycle counts, so this equals the walk's per-access sums
+    exactly. Python work is O(runs), not O(accesses). ``tables``
+    defaults to ``CostTables.of(cost_model)``.
     """
-    if not scheme.stateless:
-        raise ValueError(f"scheme {scheme.name!r} is not stateless")
+    if not scheme.run_constant:
+        raise ValueError(f"scheme {scheme.name!r} is not run-constant")
     homes = np.asarray(homes, dtype=np.int64)
-    writes = np.asarray(writes).astype(bool)
+    writes = np.asarray(writes, dtype=bool)
     n = homes.size
     if n == 0:
         return 0.0, 0, 0, 0, 0, np.empty(0, dtype=np.int64)
-    mig = cost_model.migration
-    ra_r = cost_model.remote_read
-    ra_w = cost_model.remote_write
-    mig_bits = cost_model.migration_bits()
-    ra_bits_r = cost_model.remote_access_bits(write=False)
-    ra_bits_w = cost_model.remote_access_bits(write=True)
+    if tables is None:
+        tables = CostTables.of(cost_model)
+    mig_t, ra_r_t, ra_w_t = tables.migration, tables.remote_read, tables.remote_write
 
-    # run boundaries: maximal segments of constant home
+    # one row per maximal constant-home run: its start, home, whether
+    # its first access writes, how many accesses follow the first, and
+    # how many of those write
     change = np.flatnonzero(homes[1:] != homes[:-1]) + 1
     starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [n]))
-    # prefix sums make per-segment write counts O(1)
+    ends = np.append(change, n)
     wsum = np.concatenate(([0], np.cumsum(writes)))
+    rest_writes = wsum[ends] - wsum[starts + 1]
 
-    MIGRATE = Decision.MIGRATE
+    MIGRATE, LOCAL = Decision.MIGRATE, Decision.LOCAL
+    decide, observe, observe_run = scheme.decide, scheme.observe, scheme.observe_run
     cur = int(start_core)
     cost = 0.0
-    n_mig = n_ra = n_loc = 0
-    bits = 0
-    exec_cores = np.empty(n, dtype=np.int64)
-
-    def charge_remote(s: int, e: int, h: int) -> None:
-        nonlocal cost, bits, n_ra
-        n_w = int(wsum[e] - wsum[s])
-        n_r = (e - s) - n_w
-        cost += n_r * ra_r[cur, h] + n_w * ra_w[cur, h]
-        bits += n_r * ra_bits_r + n_w * ra_bits_w
-        n_ra += e - s
-        exec_cores[s:e] = cur
-
-    for s, e in zip(starts.tolist(), ends.tolist()):
-        h = int(homes[s])
+    n_ra = n_ra_w = 0
+    # where the thread stands from each access index on: its start core,
+    # then each migration's (access index, destination)
+    moved_at = [0]
+    moved_to = [cur]
+    for s, h, w, rest, n_w in zip(
+        starts.tolist(),
+        homes[starts].tolist(),
+        writes[starts].tolist(),
+        (ends - starts - 1).tolist(),
+        rest_writes.tolist(),
+    ):
         if h == cur:
-            n_loc += e - s
-            exec_cores[s:e] = cur
-            continue
-        seg_writes = int(wsum[e] - wsum[s])
-        has_read = seg_writes < e - s
-        has_write = seg_writes > 0
-        d_read = scheme.decide(cur, h, 0, False) if has_read else None
-        d_write = scheme.decide(cur, h, 0, True) if has_write else None
-        if d_read == MIGRATE and (d_write == MIGRATE or not has_write):
-            k = s  # migrate on the first access of the run
-        elif d_write == MIGRATE and d_read != MIGRATE:
-            # RA through the reads until the first write, then migrate
-            k = s + int(np.argmax(writes[s:e]))
-        elif d_read == MIGRATE:
-            # (write policy says RA, read policy migrates)
-            k = s + int(np.argmax(~writes[s:e]))
+            observe(cur, h, 0, w, LOCAL)
         else:
-            charge_remote(s, e, h)
-            continue
-        if k > s:
-            charge_remote(s, k, h)
-        cost += mig[cur, h]
-        bits += mig_bits
-        n_mig += 1
-        cur = h
-        exec_cores[k:e] = h
-        n_loc += e - k - 1
-    return float(cost), n_mig, n_ra, n_loc, int(bits), exec_cores
+            d = decide(cur, h, 0, w)
+            if d == MIGRATE:
+                cost += mig_t[cur][h]
+                moved_at.append(s)
+                moved_to.append(h)
+                cur = h
+                observe(cur, h, 0, w, d)
+            else:
+                cost += (ra_w_t if w else ra_r_t)[cur][h]
+                n_ra += 1
+                n_ra_w += w
+                observe(cur, h, 0, w, d)
+                if rest:
+                    mig_r = n_w < rest and decide(cur, h, 0, False) == MIGRATE
+                    mig_w = n_w > 0 and decide(cur, h, 0, True) == MIGRATE
+                    if not (mig_r or mig_w):
+                        cost += (rest - n_w) * ra_r_t[cur][h] + n_w * ra_w_t[cur][h]
+                        n_ra += rest
+                        n_ra_w += n_w
+                    else:
+                        if mig_r and mig_w:
+                            k = s + 1
+                        elif mig_w:  # reads stay remote until the first write
+                            k = s + 1 + int(writes[s + 1 : s + 1 + rest].argmax())
+                            cost += (k - s - 1) * ra_r_t[cur][h]
+                        else:  # writes stay remote until the first read
+                            k = s + 1 + int(writes[s + 1 : s + 1 + rest].argmin())
+                            cost += (k - s - 1) * ra_w_t[cur][h]
+                            n_ra_w += k - s - 1
+                        n_ra += k - s - 1
+                        cost += mig_t[cur][h]
+                        moved_at.append(k)
+                        moved_to.append(h)
+                        cur = h
+        if rest:
+            observe_run(h, rest)
+    n_mig = len(moved_at) - 1
+    bits = (
+        n_mig * tables.migration_bits
+        + (n_ra - n_ra_w) * tables.ra_bits_read
+        + n_ra_w * tables.ra_bits_write
+    )
+    # each access executes where the thread stands after it
+    moved_at.append(n)
+    exec_cores = np.repeat(np.array(moved_to, dtype=np.int64), np.diff(moved_at))
+    return cost, n_mig, n_ra, n - n_mig - n_ra, bits, exec_cores
 
 
 def evaluate_scheme(
@@ -270,6 +335,10 @@ def evaluate_scheme(
 ) -> EvalResult:
     """Evaluate ``scheme`` over every thread of ``trace``."""
     result = EvalResult(scheme=scheme.name)
+    if isinstance(scheme, (AlwaysMigrate, NeverMigrate)):
+        tables = None  # the vectorized paths index the numpy matrices
+    else:
+        tables = CostTables.of(cost_model)
     hists = []
     for t, tr in enumerate(trace.threads):
         if tr.size == 0:
@@ -282,21 +351,23 @@ def evaluate_scheme(
             out = _fast_always_migrate(homes, writes, start, cost_model)
         elif isinstance(scheme, NeverMigrate):
             out = _fast_never_migrate(homes, writes, start, cost_model)
-        elif scheme.stateless:
-            per_thread = scheme.clone()
-            per_thread.reset()
-            out = evaluate_thread_batched(homes, writes, start, per_thread, cost_model)
         else:
             per_thread = scheme.clone()
             per_thread.reset()
-            out = evaluate_thread(
-                homes,
-                writes,
-                start,
-                per_thread,
-                cost_model,
-                addrs=tr["addr"].astype(np.int64),
-            )
+            if per_thread.run_constant:
+                out = evaluate_thread_runs(
+                    homes, writes, start, per_thread, cost_model, tables
+                )
+            else:
+                out = evaluate_thread(
+                    homes,
+                    writes,
+                    start,
+                    per_thread,
+                    cost_model,
+                    addrs=tr["addr"].astype(np.int64),
+                    tables=tables,
+                )
         cost, n_mig, n_ra, n_loc, bits, _cores = out
         result.total_cost += cost
         result.migrations += n_mig

@@ -256,9 +256,12 @@ def run_spec_dict(spec: Mapping, shm_trace: Mapping | None = None) -> dict:
     parsed = ExperimentSpec.from_dict(spec)
     if shm_trace is not None:
         try:
-            from repro.analysis.shm import attach
+            from repro.analysis.shm import attach, release_unreferenced
 
             seed_workload_memo(parsed.workload, attach(shm_trace))
+            # seeding replaced any earlier sweep's trace for this
+            # workload; unmap the segments nothing holds any more
+            release_unreferenced()
         except Exception:
             pass
     return run(parsed)

@@ -6,17 +6,20 @@ import pytest
 from repro.arch.config import small_test_config
 from repro.core.costs import CostModel
 from repro.core.decision import (
+    AddressIndexedHistory,
     AlwaysMigrate,
+    CostAwareHistory,
     DistanceThreshold,
     HistoryRunLength,
     NeverMigrate,
+    RandomScheme,
 )
 from repro.core.decision import NativeFirst
 from repro.core.decision.base import Decision, DecisionScheme
 from repro.core.evaluation import (
     evaluate_scheme,
     evaluate_thread,
-    evaluate_thread_batched,
+    evaluate_thread_runs,
 )
 from repro.placement import first_touch, striped
 from repro.trace.events import MultiTrace, make_trace
@@ -120,10 +123,10 @@ def _runny_trace(seed, cores=4, runs=40):
 
 class _WriteMigrates(DecisionScheme):
     """Asymmetric test scheme: writes migrate, reads stay remote —
-    exercises the mixed-decision segments of the batched kernel."""
+    exercises the mixed-decision runs of the run kernel."""
 
     name = "write-migrates"
-    stateless = True
+    run_constant = True
 
     def decide(self, current, home, addr, write):
         return Decision.MIGRATE if write else Decision.REMOTE
@@ -134,7 +137,7 @@ class _WriteMigrates(DecisionScheme):
 
 class _ReadMigrates(DecisionScheme):
     name = "read-migrates"
-    stateless = True
+    run_constant = True
 
     def decide(self, current, home, addr, write):
         return Decision.REMOTE if write else Decision.MIGRATE
@@ -144,11 +147,12 @@ class _ReadMigrates(DecisionScheme):
 
 
 class TestBatchedMatchesSequential:
-    """evaluate_thread_batched must agree with the sequential walk on
-    every statistic (cost up to float summation order)."""
+    """The run kernel (evaluate_thread_runs) must agree with the
+    sequential walk on every statistic (cost up to float summation
+    order)."""
 
     def _check(self, scheme_factory, homes, writes, start, cm):
-        fast = evaluate_thread_batched(homes, writes, start, scheme_factory(), cm)
+        fast = evaluate_thread_runs(homes, writes, start, scheme_factory(), cm)
         slow = evaluate_thread(homes, writes, start, scheme_factory(), cm)
         assert fast[0] == pytest.approx(slow[0])
         assert fast[1:5] == slow[1:5]
@@ -177,29 +181,43 @@ class TestBatchedMatchesSequential:
         self._check(_WriteMigrates, homes, writes, 0, cm)
         self._check(_ReadMigrates, homes, writes, 0, cm)
 
+    def test_aliasing_flips_the_decision_mid_run(self, cm):
+        """One predictor slot for every home: the run at home 2 closes
+        the run at home 1 on its first access (decided REMOTE on the
+        initial prediction), and the rest of it then migrates."""
+        homes = np.array([1, 1, 1, 2, 2, 2], dtype=np.int64)
+        writes = np.zeros(6, bool)
+        history = lambda: HistoryRunLength(threshold=2.0, table_size=1)  # noqa: E731
+        slow = evaluate_thread(homes, writes, 0, history(), cm)
+        assert slow[1:4] == (1, 4, 1)
+        assert slow[5].tolist() == [0, 0, 0, 0, 2, 2]
+        self._check(history, homes, writes, 0, cm)
+
     def test_empty_thread(self, cm):
-        out = evaluate_thread_batched(
+        out = evaluate_thread_runs(
             np.empty(0, np.int64), np.empty(0, bool), 0, _WriteMigrates(), cm
         )
         assert out[:5] == (0.0, 0, 0, 0, 0) and out[5].size == 0
 
-    def test_stateful_scheme_rejected(self, cm):
-        with pytest.raises(ValueError, match="not stateless"):
-            evaluate_thread_batched(
-                np.array([1]), np.array([False]), 0,
-                HistoryRunLength(threshold=2.0), cm,
-            )
+    def test_non_run_constant_scheme_rejected(self, cm):
+        for scheme in (AddressIndexedHistory(threshold=2.0), RandomScheme(0.5, seed=1)):
+            with pytest.raises(ValueError, match="not run-constant"):
+                evaluate_thread_runs(np.array([1]), np.array([False]), 0, scheme, cm)
 
-    def test_stateless_flags(self, cm):
+    def test_run_constant_flags(self, cm):
         dm = cm.topology.distance_matrix
-        assert DistanceThreshold(dm, 1).stateless
-        assert NativeFirst(away=DistanceThreshold(dm, 1)).stateless
-        assert not NativeFirst(away=HistoryRunLength(threshold=2.0)).stateless
-        assert not HistoryRunLength(threshold=2.0).stateless
+        assert DistanceThreshold(dm, 1).run_constant
+        assert HistoryRunLength(threshold=2.0).run_constant
+        assert CostAwareHistory(cm).run_constant
+        assert NativeFirst(away=DistanceThreshold(dm, 1)).run_constant
+        assert NativeFirst(away=HistoryRunLength(threshold=2.0)).run_constant
+        assert not NativeFirst(away=RandomScheme()).run_constant
+        assert not AddressIndexedHistory(threshold=2.0).run_constant
+        assert not RandomScheme().run_constant
 
     def test_evaluate_scheme_dispatch_matches_sequential(self, cm):
-        """Whole-trace totals through the stateless fast path equal a
-        hand-run sequential evaluation."""
+        """Whole-trace totals through the run kernel equal a hand-run
+        sequential evaluation."""
         rng = np.random.default_rng(0)
         threads = []
         for _ in range(3):

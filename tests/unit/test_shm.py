@@ -209,3 +209,119 @@ class TestSweepSpecsSharing:
 
         with pytest.raises(ConfigError, match="share_traces"):
             sweep_specs(_base_spec(), [{"scheme": "history"}], share_traces="yes")
+
+
+_TWO_POOLED_SWEEPS = """
+import repro.analysis.parallel as par
+from repro.analysis.sweep import sweep_specs
+from repro.spec import ExperimentSpec, MachineSpec, PlacementSpec, WorkloadSpec
+
+par.default_workers = lambda: 2
+base = ExperimentSpec(
+    workload=WorkloadSpec(name="pingpong", params={"num_threads": 4, "rounds": 16}),
+    machine=MachineSpec(name="analytical", cores=4, preset="small-test"),
+    placement=PlacementSpec(name="first-touch"),
+)
+points = [{"scheme": s} for s in ("history", "always-migrate", "never-migrate", "random")]
+first = sweep_specs(base, points, workers=2, share_traces="auto")
+second = sweep_specs(base, points, workers=2, share_traces="auto")
+assert first == second
+par.shutdown_pool()
+print("swept")
+"""
+
+_ATTACH_IN_FRESH_PROCESS = """
+import json, sys
+from repro.analysis import shm
+print(shm.attach(json.loads(sys.argv[1])).threads[0]["addr"].tolist())
+"""
+
+
+def _python(code: str, *args: str) -> "subprocess.CompletedProcess":
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+class TestResourceTracker:
+    def test_pooled_sweeps_leave_the_tracker_consistent(self):
+        """Forked pool workers share the parent's resource tracker: an
+        attach must not unregister the parent's segment, or the parent's
+        unlink() makes the tracker print a KeyError traceback."""
+        before = _segments()
+        out = _python(_TWO_POOLED_SWEEPS)
+        assert out.returncode == 0, out.stderr
+        assert "swept" in out.stdout
+        assert "KeyError" not in out.stderr
+        assert _segments() == before  # every segment unlinked
+
+    def test_process_with_its_own_tracker_leaves_the_segment(self):
+        """A process outside the publisher's tracker must unregister what
+        it attaches, or its tracker unlinks the segment at its exit."""
+        pub = shm.publish(_flat_mt())
+        try:
+            import json
+
+            out = _python(_ATTACH_IN_FRESH_PROCESS, json.dumps(pub.descriptor))
+            assert out.returncode == 0, out.stderr
+            assert out.stdout.split() == ["[1,", "2,", "3]"]
+            assert pub.descriptor["segment"] in _segments()
+        finally:
+            pub.close()
+
+
+def _attach_and_report(spec, shm_trace):
+    from repro.runner import run_spec_dict
+
+    run_spec_dict(spec, shm_trace)
+    return {"pid": os.getpid(), "attached": sorted(shm._attached)}
+
+
+class TestAttachmentCache:
+    def test_release_keeps_a_segment_while_a_view_lives(self):
+        pub = shm.publish(_flat_mt())
+        try:
+            name = pub.descriptor["segment"]
+            addrs = shm.attach(pub.descriptor).threads[0]["addr"][1:]
+            shm.release_unreferenced()  # the trace is gone, a view is not
+            assert name in shm._attached
+            assert addrs.tolist() == [2, 3]
+            # a later attach rebuilds the trace over the open mapping
+            assert shm.attach(pub.descriptor).digest() == _flat_mt().digest()
+            del addrs
+            shm.release_unreferenced()
+            assert name not in shm._attached
+        finally:
+            shm.detach_all()
+            pub.close()
+
+    def test_worker_cache_holds_only_the_current_sweep(self, monkeypatch):
+        """Each sweep publishes fresh segments; a persistent pool worker
+        must unmap the earlier sweeps' ones once its memo lets go."""
+        import repro.analysis.parallel as par
+        from repro.runner import build_workload
+
+        monkeypatch.setattr(par, "default_workers", lambda: 2)
+        shutdown_pool()  # fresh workers: no other test's attachments
+        spec = _base_spec()
+        points = [{"spec": spec.to_dict()}] * 8
+        try:
+            for _sweep in range(3):
+                clear_build_memo()
+                with shm.published_traces({"w": build_workload(spec.workload)}) as descs:
+                    current = descs["w"]["segment"]
+                    rows = parallel_sweep(
+                        [dict(p, shm_trace=descs["w"]) for p in points],
+                        _attach_and_report,
+                        workers=2,
+                    )
+                for row in rows:
+                    assert row["attached"] == [current]
+        finally:
+            shutdown_pool()
